@@ -13,16 +13,19 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden counter digests")
 
-// goldenRun is the fixed scenario the digests pin: every registered
-// policy on the 4-MIX workload with the default seed. The run is short
-// enough to keep the test fast but long enough to exercise squashes,
-// flushes, TLB misses, and every event kind.
+// The digests pin a fixed scenario: every registered policy on each
+// golden workload with the default seed. The run is short enough to
+// keep the test fast but long enough to exercise squashes, flushes, TLB
+// misses, and every event kind. 2-MIX covers the lightly loaded core,
+// 4-MIX the paper's middle point, and 8-MEM the most contended and
+// squash-heavy one (FLUSH there empties full ROBs every few cycles).
 const (
-	goldenWorkload = "4-MIX"
-	goldenSeed     = 42
-	goldenWarmup   = 3000
-	goldenMeasure  = 10000
+	goldenSeed    = 42
+	goldenWarmup  = 3000
+	goldenMeasure = 10000
 )
+
+var goldenWorkloads = []string{"2-MIX", "4-MIX", "8-MEM"}
 
 // goldenEntry records one policy's digest plus human-readable counters
 // so a mismatch report shows what moved, not just that something did.
@@ -47,31 +50,37 @@ func digestResult(res *Result) goldenEntry {
 
 // TestGoldenCounterDigests is the determinism regression oracle for the
 // cycle engine: per-thread counter digests for all registered policies
-// on a fixed 4-MIX run, pinned from the pre-zero-alloc engine. Any
+// on fixed 2-MIX, 4-MIX and 8-MEM runs. The 4-MIX digests were pinned
+// from the pre-zero-alloc engine, the 2-MIX and 8-MEM ones from the
+// scan-based issue select that wakeup-driven select replaced. Any
 // refactor of the event queue, instruction lifecycle, or issue select
 // must keep these digests bit-identical. Regenerate deliberately with
 //
 //	go test ./internal/sim -run TestGoldenCounterDigests -update
 func TestGoldenCounterDigests(t *testing.T) {
 	path := filepath.Join("testdata", "golden_digests.json")
-	wl, err := workload.GetWorkload(goldenWorkload)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	got := make(map[string]goldenEntry)
-	for _, policy := range core.Policies() {
-		res, err := Run(Options{
-			Policy:        policy,
-			Workload:      wl,
-			Seed:          goldenSeed,
-			WarmupCycles:  goldenWarmup,
-			MeasureCycles: goldenMeasure,
-		})
+	// got is keyed workload → policy.
+	got := make(map[string]map[string]goldenEntry)
+	for _, wn := range goldenWorkloads {
+		wl, err := workload.GetWorkload(wn)
 		if err != nil {
-			t.Fatalf("%s: %v", policy, err)
+			t.Fatal(err)
 		}
-		got[policy] = digestResult(res)
+		got[wn] = make(map[string]goldenEntry)
+		for _, policy := range core.Policies() {
+			res, err := Run(Options{
+				Policy:        policy,
+				Workload:      wl,
+				Seed:          goldenSeed,
+				WarmupCycles:  goldenWarmup,
+				MeasureCycles: goldenMeasure,
+			})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", wn, policy, err)
+			}
+			got[wn][policy] = digestResult(res)
+		}
 	}
 
 	if *updateGolden {
@@ -85,7 +94,7 @@ func TestGoldenCounterDigests(t *testing.T) {
 		if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d digests to %s", len(got), path)
+		t.Logf("wrote digests for %d workloads to %s", len(got), path)
 		return
 	}
 
@@ -93,25 +102,29 @@ func TestGoldenCounterDigests(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read golden file (run with -update to create): %v", err)
 	}
-	var want map[string]goldenEntry
+	var want map[string]map[string]goldenEntry
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatalf("parse %s: %v", path, err)
 	}
-	for policy, g := range got {
-		w, ok := want[policy]
-		if !ok {
-			t.Errorf("%s: no golden entry (run with -update)", policy)
-			continue
-		}
-		if g.Digest != w.Digest {
-			t.Errorf("%s: counter digest changed\n got %s (committed %v, fetched %v, cycles %d)\nwant %s (committed %v, fetched %v, cycles %d)",
-				policy, g.Digest, g.Committed, g.Fetched, g.Cycles,
-				w.Digest, w.Committed, w.Fetched, w.Cycles)
+	for wn, byPolicy := range got {
+		for policy, g := range byPolicy {
+			w, ok := want[wn][policy]
+			if !ok {
+				t.Errorf("%s/%s: no golden entry (run with -update)", wn, policy)
+				continue
+			}
+			if g.Digest != w.Digest {
+				t.Errorf("%s/%s: counter digest changed\n got %s (committed %v, fetched %v, cycles %d)\nwant %s (committed %v, fetched %v, cycles %d)",
+					wn, policy, g.Digest, g.Committed, g.Fetched, g.Cycles,
+					w.Digest, w.Committed, w.Fetched, w.Cycles)
+			}
 		}
 	}
-	for policy := range want {
-		if _, ok := got[policy]; !ok {
-			t.Errorf("%s: golden entry for unregistered policy (run with -update)", policy)
+	for wn, byPolicy := range want {
+		for policy := range byPolicy {
+			if _, ok := got[wn][policy]; !ok {
+				t.Errorf("%s/%s: golden entry for unregistered policy or workload (run with -update)", wn, policy)
+			}
 		}
 	}
 }
