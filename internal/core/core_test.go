@@ -110,6 +110,23 @@ func TestAllPoliciesRunAllWorkloadSizes(t *testing.T) {
 	}
 }
 
+// TestInvariantsEvery50CyclesOn8MEM checks the engine's accounting —
+// registers, queue counters, ready lists, consumer lists — at a fine
+// grain on the most contended workload under every registered policy.
+// FLUSH there squashes full ROBs every few cycles, the hardest case for
+// the wakeup-driven issue select's bookkeeping.
+func TestInvariantsEvery50CyclesOn8MEM(t *testing.T) {
+	for _, pol := range Policies() {
+		cpu := buildCPU(t, "8-MEM", pol)
+		for cpu.Now() < 20_000 {
+			cpu.Run(50)
+			if err := cpu.CheckInvariants(); err != nil {
+				t.Fatalf("%s at cycle %d: %v", pol, cpu.Now(), err)
+			}
+		}
+	}
+}
+
 func TestICOUNTOrdersByOccupancy(t *testing.T) {
 	cpu := buildCPU(t, "4-MIX", "icount")
 	cpu.Run(8000)

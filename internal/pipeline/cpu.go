@@ -50,9 +50,28 @@ type CPU struct {
 	intReady regBitset
 	fpReady  regBitset
 
-	// Shared issue queues.
-	queues [isa.NumQueues][]*DynInst
-	qCap   [isa.NumQueues]int
+	// Shared issue queues. No queue holds its entries: an instruction
+	// is "in queue q" while it is stInQueue, and the queues exist as
+	// counters plus wakeup-driven ready lists (see issue).
+	//   inQ   live occupancy: dispatched and neither issued nor squashed;
+	//   occ   what dispatch checks against qCap: inQ as of the start of
+	//         this cycle's issue phase plus this cycle's dispatches, so
+	//         slots freed by issue open up only the next cycle;
+	//   ready the queued instructions whose sources are all ready,
+	//         age-sorted, capacity qCap (ready ⊆ queued).
+	qCap  [isa.NumQueues]int
+	inQ   [isa.NumQueues]int
+	occ   [isa.NumQueues]int
+	ready [isa.NumQueues][]*DynInst
+
+	// Consumer lists: for each physical register (int registers first,
+	// then fp from fpWaitBase), a linked list through waitNodes of the
+	// queued instructions waiting on it, woken by setRegReady. Unused
+	// nodes form the free list at waitFree; -1 ends every list.
+	waitHead   []int32
+	waitNodes  []waitNode
+	waitFree   int32
+	fpWaitBase int32
 
 	// Scratch buffers reused across cycles.
 	prioBuf   []int
@@ -125,6 +144,13 @@ func New(cfg *config.Processor, policy FetchPolicy, srcs []workload.Source) (*CP
 	c.qCap[isa.QInt] = cfg.IntQueueSize
 	c.qCap[isa.QFP] = cfg.FPQueueSize
 	c.qCap[isa.QLS] = cfg.LSQueueSize
+	for q := range c.ready {
+		c.ready[q] = make([]*DynInst, 0, c.qCap[q])
+	}
+	c.fpWaitBase = int32(cfg.PhysIntRegs)
+	// Each queued instruction holds at most two live references, so a
+	// pool twice that size is at least half free after a sweep.
+	c.initWaitPool(4 * (cfg.IntQueueSize + cfg.FPQueueSize + cfg.LSQueueSize))
 
 	// Physical registers: each running context permanently holds its 32
 	// architectural mappings; the remainder forms the shared rename pool.
@@ -270,8 +296,9 @@ func (c *CPU) freeReg(fp bool, p int32) {
 func (c *CPU) FreeIntRegs() int { return len(c.intFree) }
 func (c *CPU) FreeFPRegs() int  { return len(c.fpFree) }
 
-// QueueLen returns the current occupancy of issue queue q.
-func (c *CPU) QueueLen(q isa.Queue) int { return len(c.queues[q]) }
+// QueueLen returns the live occupancy of issue queue q: instructions
+// dispatched into it and neither issued nor squashed.
+func (c *CPU) QueueLen(q isa.Queue) int { return c.inQ[q] }
 
 // usesFPRegs reports which register space an instruction's operands live
 // in (the synthetic ISA never mixes spaces within one instruction).
@@ -289,15 +316,109 @@ func (c *CPU) regReady(fp bool, p int32) bool {
 	return c.intReady.get(p)
 }
 
+// setRegReady marks physical register p as holding a value and wakes
+// its consumers: each loses one pending source, and those left with
+// none join their queue's ready list. The list's nodes return to the
+// free list.
 func (c *CPU) setRegReady(fp bool, p int32) {
 	if p < 0 {
 		return
 	}
+	k := p
 	if fp {
 		c.fpReady.set(p)
+		k += c.fpWaitBase
 	} else {
 		c.intReady.set(p)
 	}
+	for i := c.waitHead[k]; i >= 0; {
+		w := &c.waitNodes[i]
+		if d := w.d; d.gen == w.gen {
+			if d.pending--; d.pending == 0 {
+				c.markReady(d)
+			}
+		}
+		next := w.next
+		w.next = c.waitFree
+		c.waitFree = i
+		i = next
+	}
+	c.waitHead[k] = -1
+}
+
+// waitNode is one consumer-list entry: a generation-checked reference
+// to an instruction waiting on a physical register. A squashed consumer
+// is not unlinked: the arena's generation bump at recycling makes its
+// reference stale, and wakeup and sweepWaiters skip it.
+type waitNode struct {
+	d    *DynInst
+	gen  uint32
+	next int32
+}
+
+// initWaitPool gives every physical register an empty consumer list
+// and threads all n pool nodes onto the free list.
+func (c *CPU) initWaitPool(n int) {
+	c.waitHead = make([]int32, c.cfg.PhysIntRegs+c.cfg.PhysFPRegs)
+	for k := range c.waitHead {
+		c.waitHead[k] = -1
+	}
+	c.waitNodes = make([]waitNode, n)
+	for i := range c.waitNodes {
+		c.waitNodes[i].next = int32(i + 1)
+	}
+	c.waitNodes[n-1].next = -1
+	c.waitFree = 0
+}
+
+// waitOn records that d reads physical register p. If p has no value
+// yet, d gains a pending source and joins p's consumer list.
+func (c *CPU) waitOn(fp bool, p int32, d *DynInst) {
+	if c.regReady(fp, p) {
+		return
+	}
+	if fp {
+		p += c.fpWaitBase
+	}
+	if c.waitFree < 0 {
+		c.sweepWaiters()
+	}
+	i := c.waitFree
+	w := &c.waitNodes[i]
+	c.waitFree = w.next
+	*w = waitNode{d: d, gen: d.gen, next: c.waitHead[p]}
+	c.waitHead[p] = i
+	d.pending++
+}
+
+// sweepWaiters returns every stale consumer-list node to the free list.
+// waitOn calls it when the pool runs dry, which only stale nodes can
+// cause: live references never exceed half the pool.
+func (c *CPU) sweepWaiters() {
+	for k := range c.waitHead {
+		link := &c.waitHead[k]
+		for i := *link; i >= 0; i = *link {
+			w := &c.waitNodes[i]
+			if w.d.gen == w.gen {
+				link = &w.next
+				continue
+			}
+			*link = w.next
+			w.next = c.waitFree
+			c.waitFree = i
+		}
+	}
+}
+
+// markReady inserts d, whose sources are now all ready, into its
+// queue's age-sorted ready list. Wakeups and dispatches arrive mostly
+// youngest-last, so the common case is a plain append.
+func (c *CPU) markReady(d *DynInst) {
+	rs := append(c.ready[d.queue], d)
+	for i := len(rs) - 1; i > 0 && rs[i-1].Age > d.Age; i-- {
+		rs[i], rs[i-1] = rs[i-1], rs[i]
+	}
+	c.ready[d.queue] = rs
 }
 
 // FlushAfter squashes every instruction of inst's thread younger than
@@ -319,11 +440,9 @@ func (c *CPU) FlushAfter(inst *DynInst) int {
 // uops are queued for re-fetch in program order; when false (branch
 // misprediction) they are dropped. Returns the number squashed.
 //
-// Squashed instructions are recycled into the arena immediately: their
-// pending events are invalidated by the generation bump, and the lazy
-// issue-queue references are compacted away in this same cycle's issue
-// phase (squashes only happen in the event/tick phases), before fetch
-// can reuse the instruction.
+// Squashed instructions are recycled into the arena immediately: the
+// generation bump invalidates their pending events and consumer-list
+// references, and they leave the ready lists before this returns.
 func (c *CPU) squashYounger(t *thread, age uint64, replay bool) int {
 	wasWP := t.wrongPath
 	// A peeked-but-unfetched uop must not leak: push a correct-path one
@@ -382,13 +501,20 @@ func (c *CPU) squashYounger(t *thread, age uint64, replay bool) int {
 	// ROB tail walk: undo renaming youngest-first so the map ends up at
 	// its pre-squash state.
 	cut := t.rob.len()
+	readySquashed := false
 	for cut > 0 && t.rob.at(cut-1).Age > age {
 		d := t.rob.at(cut - 1)
 		cut--
+		if d.state == stInQueue && d.pending == 0 {
+			readySquashed = true
+		}
 		c.squashInFlight(t, d)
 		note(d)
 	}
 	t.rob.truncate(cut)
+	if readySquashed {
+		c.dropSquashedReady()
+	}
 
 	// Replay order: squashed uops are older than whatever was already
 	// on the stack (including the peeked uop pushed above), so they are
@@ -423,7 +549,7 @@ func (c *CPU) squashYounger(t *thread, age uint64, replay bool) int {
 func (c *CPU) squashInFlight(t *thread, d *DynInst) {
 	if d.state == stInQueue {
 		t.inQueues--
-		// The queue slice is compacted lazily at the next issue phase.
+		c.inQ[d.queue]--
 	}
 	if d.U.Class == isa.Load && d.missCounted {
 		t.l1MissInFlight--
@@ -442,6 +568,21 @@ func (c *CPU) squashInFlight(t *thread, d *DynInst) {
 		d.destPhys = -1
 	}
 	d.state = stSquashed
+}
+
+// dropSquashedReady removes squashed instructions from the ready lists,
+// keeping the survivors' age order. squashYounger calls it once per
+// squash rather than once per instruction.
+func (c *CPU) dropSquashedReady() {
+	for q, rs := range c.ready {
+		kept := rs[:0]
+		for _, d := range rs {
+			if d.state == stInQueue {
+				kept = append(kept, d)
+			}
+		}
+		c.ready[q] = kept
+	}
 }
 
 // seqSortCutoff is the batch size above which sortUopsBySeq switches
@@ -469,9 +610,9 @@ func sortUopsBySeq(us []isa.Uop) {
 // DumpState renders a diagnostic snapshot of the pipeline for debugging
 // and livelock reports.
 func (c *CPU) DumpState() string {
-	s := fmt.Sprintf("cycle %d: freeInt=%d freeFP=%d q[int]=%d q[fp]=%d q[ls]=%d events=%d\n",
+	s := fmt.Sprintf("cycle %d: freeInt=%d freeFP=%d q[int]=%d q[fp]=%d q[ls]=%d ready=%d/%d/%d events=%d\n",
 		c.now, len(c.intFree), len(c.fpFree),
-		len(c.queues[0]), len(c.queues[1]), len(c.queues[2]), c.events.len())
+		c.inQ[0], c.inQ[1], c.inQ[2], len(c.ready[0]), len(c.ready[1]), len(c.ready[2]), c.events.len())
 	for _, t := range c.threads {
 		s += fmt.Sprintf("  t%d: feq=%d rob=%d inQ=%d missInFlight=%d wrongPath=%v replay=%d icacheReadyAt=%d redirectAt=%d\n",
 			t.id, t.feq.len(), t.rob.len(), t.inQueues, t.l1MissInFlight, t.wrongPath, len(t.replay), t.icacheReadyAt, t.redirectAt)
@@ -551,28 +692,79 @@ func (c *CPU) CheckInvariants() error {
 		fpLive[p] = "free"
 	}
 
-	// Issue queues: per-thread inQueues must match the queue contents,
-	// no queue may exceed its capacity, and every queue must be
-	// age-sorted (issue's oldest-first merge depends on it).
-	inQ := make([]int, len(c.threads))
-	for q := range c.queues {
-		live := 0
-		for i, d := range c.queues[q] {
-			if d.state == stInQueue {
-				inQ[d.Thread]++
-				live++
+	// Issue queues. The queued instructions are the stInQueue ROB
+	// entries: their count must match the per-queue and per-thread
+	// counters, no queue may exceed its capacity, and each ready list
+	// must be age-sorted (issue's oldest-first merge depends on it) and
+	// hold exactly the queued instructions whose sources are ready.
+	var inQ [isa.NumQueues]int
+	var wantReady [isa.NumQueues]int
+	threadInQ := make([]int, len(c.threads))
+	for _, t := range c.threads {
+		for i := 0; i < t.rob.len(); i++ {
+			d := t.rob.at(i)
+			if d.state != stInQueue {
+				continue
 			}
-			if i > 0 && d.Age <= c.queues[q][i-1].Age {
-				return fmt.Errorf("pipeline: queue %d not age-sorted at %d", q, i)
+			inQ[d.queue]++
+			threadInQ[t.id]++
+			srcsReady := c.regReady(d.fpRegs, d.src1Phys) && c.regReady(d.fpRegs, d.src2Phys)
+			if srcsReady != (d.pending == 0) {
+				return fmt.Errorf("pipeline: t%d seq %d has pending=%d but sources ready=%v", t.id, d.U.Seq, d.pending, srcsReady)
+			}
+			if srcsReady {
+				wantReady[d.queue]++
 			}
 		}
-		if live > c.qCap[q] {
-			return fmt.Errorf("pipeline: queue %d holds %d live entries, capacity %d", q, live, c.qCap[q])
+	}
+	for q := range c.ready {
+		if c.inQ[q] != inQ[q] {
+			return fmt.Errorf("pipeline: queue %d counter %d but %d instructions queued", q, c.inQ[q], inQ[q])
+		}
+		if c.inQ[q] > c.qCap[q] {
+			return fmt.Errorf("pipeline: queue %d holds %d entries, capacity %d", q, c.inQ[q], c.qCap[q])
+		}
+		rs := c.ready[q]
+		for i, d := range rs {
+			if d.state != stInQueue || d.pending != 0 || d.queue != isa.Queue(q) {
+				return fmt.Errorf("pipeline: ready list %d entry %d (state %d, pending %d, queue %v) is not a ready queued instruction", q, i, d.state, d.pending, d.queue)
+			}
+			if i > 0 && d.Age <= rs[i-1].Age {
+				return fmt.Errorf("pipeline: ready list %d not age-sorted at %d", q, i)
+			}
+		}
+		// Entries are distinct (strictly increasing ages) ready queued
+		// instructions, so equal counts mean equal sets.
+		if len(rs) != wantReady[q] {
+			return fmt.Errorf("pipeline: ready list %d holds %d entries, %d queued instructions are ready", q, len(rs), wantReady[q])
+		}
+	}
+	// Consumer lists: every queued instruction still waiting on a value
+	// is referenced once per unready source; a live reference never
+	// points at anything else.
+	waits := make(map[*DynInst]int)
+	for k, i := range c.waitHead {
+		for ; i >= 0; i = c.waitNodes[i].next {
+			w := c.waitNodes[i]
+			if w.d.gen != w.gen {
+				continue
+			}
+			if w.d.state != stInQueue || w.d.pending == 0 {
+				return fmt.Errorf("pipeline: consumer list %d holds a live reference to a non-waiting instruction (state %d)", k, w.d.state)
+			}
+			waits[w.d]++
 		}
 	}
 	for _, t := range c.threads {
-		if t.inQueues != inQ[t.id] {
-			return fmt.Errorf("pipeline: t%d inQueues=%d but queues hold %d", t.id, t.inQueues, inQ[t.id])
+		for i := 0; i < t.rob.len(); i++ {
+			if d := t.rob.at(i); d.state == stInQueue && waits[d] != int(d.pending) {
+				return fmt.Errorf("pipeline: t%d seq %d has pending=%d but %d consumer-list references", t.id, d.U.Seq, d.pending, waits[d])
+			}
+		}
+	}
+	for _, t := range c.threads {
+		if t.inQueues != threadInQ[t.id] {
+			return fmt.Errorf("pipeline: t%d inQueues=%d but %d of its instructions are queued", t.id, t.inQueues, threadInQ[t.id])
 		}
 		if t.l1MissInFlight < 0 {
 			return fmt.Errorf("pipeline: t%d negative miss counter %d", t.id, t.l1MissInFlight)

@@ -47,6 +47,12 @@ type DynInst struct {
 	// avoid re-deriving it from the class.
 	fpRegs bool
 
+	// queue is the issue queue the instruction dispatches into, and
+	// pending the number of its source registers still awaiting a
+	// value while it sits there (see CPU.waitOn / setRegReady).
+	queue   isa.Queue
+	pending uint8
+
 	// gen is the arena recycling generation. Scheduled events snapshot
 	// it; after the instruction is recycled the snapshot no longer
 	// matches and the stale event is discarded.

@@ -243,12 +243,115 @@ func TestPreIssueCountTracksOccupancy(t *testing.T) {
 
 func TestQueueOccupancyBounded(t *testing.T) {
 	cpu := newCPU(t, "8-MEM", &icountPolicy{})
+	cfg := cpu.Config()
+	caps := map[isa.Queue]int{isa.QInt: cfg.IntQueueSize, isa.QFP: cfg.FPQueueSize, isa.QLS: cfg.LSQueueSize}
 	for i := 0; i < 200; i++ {
 		cpu.Run(100)
-		for _, q := range []isa.Queue{isa.QInt, isa.QFP, isa.QLS} {
-			if n := cpu.QueueLen(q); n > 32 {
-				t.Fatalf("queue %v holds %d > 32", q, n)
+		total := 0
+		for q, capacity := range caps {
+			n := cpu.QueueLen(q)
+			if n < 0 || n > capacity {
+				t.Fatalf("queue %v holds %d, capacity %d", q, n, capacity)
 			}
+			total += n
+		}
+		// QueueLen is live occupancy: squashed and issued instructions
+		// no longer count, so the queues hold exactly the threads'
+		// queued instructions.
+		queued := 0
+		for _, th := range cpu.threads {
+			queued += th.inQueues
+		}
+		if total != queued {
+			t.Fatalf("cycle %d: queues report %d entries, threads have %d queued", cpu.Now(), total, queued)
+		}
+	}
+}
+
+// TestSweepWaitersReclaimsStaleNodes drains the consumer-list pool with
+// references to one unready register, squashes two of the consumers,
+// and registers one more: waitOn must sweep the two stale nodes back
+// to the free list, and the wakeup must ready exactly the live
+// consumers, oldest first.
+func TestSweepWaitersReclaimsStaleNodes(t *testing.T) {
+	cpu := newCPU(t, "2-MIX", &icountPolicy{})
+	const pool = 4
+	cpu.initWaitPool(pool)
+	p := cpu.intFree[0]
+	cpu.intReady.clear(p)
+	consumer := func(age uint64) *DynInst {
+		d := cpu.arena.get()
+		d.Age, d.state, d.queue = age, stInQueue, isa.QInt
+		cpu.waitOn(false, p, d)
+		return d
+	}
+	var ds []*DynInst
+	for age := uint64(1); age <= pool; age++ {
+		ds = append(ds, consumer(age))
+	}
+	if cpu.waitFree >= 0 {
+		t.Fatal("pool not exhausted")
+	}
+	cpu.arena.put(ds[1])
+	cpu.arena.put(ds[3])
+	// The arena hands ds[3] straight back: a recycled instruction whose
+	// stale reference is still on the list.
+	late := consumer(10)
+	if late != ds[3] {
+		t.Fatal("arena did not recycle the squashed instruction")
+	}
+	n := 0
+	for i := cpu.waitHead[p]; i >= 0; i = cpu.waitNodes[i].next {
+		n++
+	}
+	if n != 3 {
+		t.Fatalf("consumer list holds %d nodes after the sweep, want 3", n)
+	}
+	cpu.setRegReady(false, p)
+	want := []*DynInst{ds[0], ds[2], late}
+	got := cpu.ready[isa.QInt]
+	if len(got) != len(want) {
+		t.Fatalf("ready list holds %d entries, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] || got[i].pending != 0 {
+			t.Fatalf("ready[%d] = age %d pending %d, want age %d pending 0", i, got[i].Age, got[i].pending, want[i].Age)
+		}
+	}
+	free := 0
+	for i := cpu.waitFree; i >= 0; i = cpu.waitNodes[i].next {
+		free++
+	}
+	if free != pool {
+		t.Fatalf("%d nodes free after the wakeup, want %d", free, pool)
+	}
+}
+
+// TestTightConsumerPoolKeepsResults shrinks the consumer-list pool to
+// one node above the most live references the queues can hold. On 2-MEM
+// under the hostile flusher the pool then runs dry and is swept nine
+// times in 20k cycles; the counters must match a run with the stock
+// pool exactly, and the accounting must stay intact.
+func TestTightConsumerPoolKeepsResults(t *testing.T) {
+	cfg := config.Baseline()
+	tight := 2*(cfg.IntQueueSize+cfg.FPQueueSize+cfg.LSQueueSize) + 1
+	run := func(pool int) *CPU {
+		cpu := newCPU(t, "2-MEM", &flushEverything{})
+		if pool > 0 {
+			cpu.initWaitPool(pool)
+		}
+		for i := 0; i < 20; i++ {
+			cpu.Run(1000)
+			if err := cpu.CheckInvariants(); err != nil {
+				t.Fatalf("pool %d, cycle %d: %v", pool, cpu.Now(), err)
+			}
+		}
+		return cpu
+	}
+	stock, small := run(0), run(tight)
+	for i := 0; i < stock.NumThreads(); i++ {
+		if a, b := stock.ThreadStats(i), small.ThreadStats(i); a != b {
+			t.Errorf("t%d: stock pool %+v, tight pool %+v", i, a, b)
 		}
 	}
 }

@@ -142,9 +142,9 @@ func (c *CPU) commit(now int64) {
 
 // retire commits one instruction and recycles it. By commit time every
 // event for the instruction has fired (all are scheduled at or before
-// completeAt, and completion is what makes it committable) and its lazy
-// issue-queue reference was compacted no later than this cycle's issue
-// phase runs — so the arena may hand it back to fetch immediately.
+// completeAt, and completion is what makes it committable) and it left
+// the ready list when it issued — so the arena may hand it back to
+// fetch immediately.
 func (c *CPU) retire(t *thread, d *DynInst) {
 	d.state = stCommitted
 	if d.destPhys >= 0 && d.prevPhys >= 0 {
@@ -166,33 +166,20 @@ func (c *CPU) retire(t *thread, d *DynInst) {
 // issue selects ready instructions oldest-first across the shared
 // queues, bounded by issue width and per-class functional unit counts.
 //
-// The queues are kept age-sorted (dispatch inserts in order, compaction
-// is stable), so selection is a three-way merge that visits entries in
-// global age order and stops as soon as the issue budget or all units
-// are spent — no per-cycle sort, no ready checks beyond the selection
-// frontier, and no allocations. Readiness cannot change during the
-// phase (completions only land in processEvents), so skipping an
-// unready entry for the rest of the cycle is sound. The issued set is
-// identical to the old gather-sort-scan: both consider ready entries
-// oldest-first and skip classes whose units are exhausted.
+// Selection is wakeup-driven: completions move an instruction onto its
+// queue's age-sorted ready list once its last source is written (see
+// setRegReady), so issue never looks at a waiting instruction. It is a
+// three-way merge over the ready lists that visits candidates in global
+// age order and stops as soon as the issue budget or all units are
+// spent. Every ready-list entry can issue, so each queue issues a
+// prefix of its list. Readiness cannot change during the phase
+// (completions only land in processEvents), so the issued set is the
+// oldest ready instructions per class, exactly as a scan of the whole
+// queue would find them.
 func (c *CPU) issue(now int64) {
-	// Compact queues, reclaiming the slots of squashed and issued
-	// entries so this cycle's dispatch sees true occupancy.
-	total := 0
-	for q := range c.queues {
-		kept := c.queues[q][:0]
-		for _, d := range c.queues[q] {
-			if d.state != stInQueue {
-				continue
-			}
-			kept = append(kept, d)
-		}
-		c.queues[q] = kept
-		total += len(kept)
-	}
-	if total == 0 {
-		return
-	}
+	// Slots vacated by this cycle's issue open up for dispatch only
+	// next cycle.
+	c.occ = c.inQ
 
 	budget := c.cfg.IssueWidth
 	units := [isa.NumQueues]int{
@@ -204,32 +191,24 @@ func (c *CPU) issue(now int64) {
 	for budget > 0 {
 		best := -1
 		var bestAge uint64
-		for q := range c.queues {
-			if units[q] == 0 {
-				continue
-			}
-			qs := c.queues[q]
-			i := idx[q]
-			for i < len(qs) {
-				d := qs[i]
-				if c.regReady(d.fpRegs, d.src1Phys) && c.regReady(d.fpRegs, d.src2Phys) {
-					break
-				}
-				i++
-			}
-			idx[q] = i
-			if i < len(qs) && (best < 0 || qs[i].Age < bestAge) {
-				best = q
-				bestAge = qs[i].Age
+		for q, rs := range c.ready {
+			if i := idx[q]; units[q] > 0 && i < len(rs) && (best < 0 || rs[i].Age < bestAge) {
+				best, bestAge = q, rs[i].Age
 			}
 		}
 		if best < 0 {
-			return
+			break
 		}
-		c.issueOne(c.queues[best][idx[best]], now)
+		c.issueOne(c.ready[best][idx[best]], now)
 		idx[best]++
 		units[best]--
 		budget--
+	}
+	for q, n := range idx {
+		if n > 0 {
+			rs := c.ready[q]
+			c.ready[q] = rs[:copy(rs, rs[n:])]
+		}
 	}
 }
 
@@ -237,6 +216,7 @@ func (c *CPU) issue(now int64) {
 func (c *CPU) issueOne(d *DynInst, now int64) {
 	d.state = stExecuting
 	c.threads[d.Thread].inQueues--
+	c.inQ[d.queue]--
 	c.issued[d.Thread]++
 
 	switch d.U.Class {
@@ -283,6 +263,11 @@ func (c *CPU) issueOne(d *DynInst, now int64) {
 // queues, up to DecodeWidth per cycle, visiting threads in the fetch
 // policy's priority order from the previous fetch cycle (falling back
 // to round-robin before the first fetch).
+//
+// A thread whose dispatchOne fails is skipped for the rest of the
+// phase: nothing during dispatch can unblock it. Its front-end queue
+// only drains, its ROB has not committed, queue occupancy only rises
+// and the free lists only shrink.
 func (c *CPU) dispatch(now int64) {
 	budget := c.cfg.DecodeWidth
 	n := len(c.threads)
@@ -294,6 +279,7 @@ func (c *CPU) dispatch(now int64) {
 			order = append(order, (start+i)%n)
 		}
 	}
+	var blocked uint64
 	progress := true
 	for budget > 0 && progress {
 		progress = false
@@ -301,9 +287,14 @@ func (c *CPU) dispatch(now int64) {
 			if budget == 0 {
 				break
 			}
+			if blocked&(1<<tid) != 0 {
+				continue
+			}
 			if c.dispatchOne(c.threads[tid], now) {
 				budget--
 				progress = true
+			} else {
+				blocked |= 1 << tid
 			}
 		}
 	}
@@ -324,7 +315,7 @@ func (c *CPU) dispatchOne(t *thread, now int64) bool {
 		return false
 	}
 	q := d.U.Class.QueueFor()
-	if len(c.queues[q]) >= c.qCap[q] {
+	if c.occ[q] >= c.qCap[q] {
 		return false
 	}
 	fp := d.fpRegs
@@ -355,14 +346,14 @@ func (c *CPU) dispatchOne(t *thread, now int64) bool {
 	}
 
 	d.state = stInQueue
-	// Insert keeping the queue age-sorted for issue's merge. New
-	// dispatches are usually the youngest in the queue (ages follow
-	// fetch order), so the common case is a plain append.
-	qs := append(c.queues[q], d)
-	for i := len(qs) - 1; i > 0 && qs[i-1].Age > d.Age; i-- {
-		qs[i], qs[i-1] = qs[i-1], qs[i]
+	d.queue = q
+	c.waitOn(fp, d.src1Phys, d)
+	c.waitOn(fp, d.src2Phys, d)
+	if d.pending == 0 {
+		c.markReady(d)
 	}
-	c.queues[q] = qs
+	c.inQ[q]++
+	c.occ[q]++
 	t.inQueues++
 	t.rob.push(d)
 	t.feq.popFront()

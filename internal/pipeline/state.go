@@ -25,8 +25,8 @@ func (c *CPU) Quiescent() error {
 	if n := c.events.len(); n != 0 {
 		return fmt.Errorf("pipeline: %d events in flight", n)
 	}
-	for q := range c.queues {
-		if n := len(c.queues[q]); n != 0 {
+	for q, n := range c.inQ {
+		if n != 0 {
 			return fmt.Errorf("pipeline: issue queue %d holds %d entries", q, n)
 		}
 	}

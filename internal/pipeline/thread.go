@@ -126,7 +126,7 @@ type thread struct {
 	stats ThreadStats
 }
 
-// nextUop returns the next uop to fetch without consuming it.
+// peek returns the next uop to fetch without consuming it.
 func (t *thread) peek() *isa.Uop {
 	if !t.hasPeek {
 		switch {
@@ -150,8 +150,8 @@ func (t *thread) consume() isa.Uop {
 	return u
 }
 
-// dropPeekOnModeSwitch discards a peeked uop when the fetch stream
-// changes (entering or leaving wrong-path mode). A peeked correct-path
+// dropPeek discards a peeked uop when the fetch stream changes
+// (entering or leaving wrong-path mode). A peeked correct-path
 // uop must be preserved, not dropped: it is the youngest un-fetched uop,
 // so it goes back on top of the replay stack (re-fetched first — until
 // squashYounger pushes the even older squashed uops above it). A peeked
