@@ -1,7 +1,7 @@
 # Developer entry points. Everything here is plain go tool invocations;
 # the Makefile just names the common ones.
 
-.PHONY: build test race bench bench-simcore bench-sweep bench-fabric bench-service bench-ckpt smoke-ckpt chaos-service alloc-guard
+.PHONY: build test race bench bench-sweep bench-fabric bench-service bench-ckpt smoke-ckpt chaos-service alloc-guard
 
 build:
 	go build ./...
@@ -15,11 +15,6 @@ race:
 # Full benchmark sweep, one iteration each (regression smoke).
 bench:
 	go test -bench=. -benchtime=1x ./...
-
-# Cycle-engine perf trajectory: runs BenchmarkSimulatorCycleRate and
-# records ns/cycle, uops/sec, and allocs/cycle to BENCH_simcore.json.
-bench-simcore:
-	sh scripts/bench_simcore.sh
 
 # Sweep-executor perf trajectory: cells/sec at 1/2/4/8 workers over a
 # 64-cell grid, recorded to BENCH_sweep.json.

@@ -107,8 +107,8 @@ func BenchmarkPolicyThroughput4MIX(b *testing.B) {
 // count, the number that bounds every experiment above. Besides the
 // stock ns/op (= ns/cycle) it reports committed uops/sec and, with
 // -benchmem, allocations per cycle — the zero-alloc engine's headline
-// numbers. scripts/bench_simcore.sh records them to BENCH_simcore.json
-// so the perf trajectory is tracked across changes.
+// numbers. scripts/cycle_rate_gate.sh compares it between two commits
+// on one host; CI fails a change that slows it down.
 func BenchmarkSimulatorCycleRate(b *testing.B) {
 	for _, wn := range []string{"2-MIX", "4-MIX", "8-MEM"} {
 		b.Run(wn, func(b *testing.B) {

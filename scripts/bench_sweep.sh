@@ -4,10 +4,9 @@
 # Runs BenchmarkSweepExecutor (a fixed 64-cell grid through
 # internal/exec at 1/2/4/8 workers) and writes BENCH_sweep.json with
 # cells/sec per worker count plus the serial→8-worker speedup, so
-# future PRs can diff sweep throughput the way BENCH_simcore.json
-# tracks the cycle engine. GOMAXPROCS is recorded alongside: the
-# speedup is bounded by the host's cores (a single-core runner shows
-# ~1.0x regardless of workers).
+# future PRs can diff sweep throughput. GOMAXPROCS is recorded
+# alongside: the speedup is bounded by the host's cores (a single-core
+# runner shows ~1.0x regardless of workers).
 #
 # Usage:
 #   scripts/bench_sweep.sh [output.json]
