@@ -256,7 +256,7 @@ func TestQueueOccupancyBounded(t *testing.T) {
 			total += n
 		}
 		// QueueLen is live occupancy: squashed and issued instructions
-		// no longer count, so the queues hold exactly the threads'
+		// do not count, so the queues hold exactly the threads'
 		// queued instructions.
 		queued := 0
 		for _, th := range cpu.threads {
@@ -329,26 +329,40 @@ func TestSweepWaitersReclaimsStaleNodes(t *testing.T) {
 
 // TestTightConsumerPoolKeepsResults shrinks the consumer-list pool to
 // one node above the most live references the queues can hold. On 2-MEM
-// under the hostile flusher the pool then runs dry and is swept nine
-// times in 20k cycles; the counters must match a run with the stock
+// under the hostile flusher stale references then fill the pool, so
+// waitOn has to sweep it; the counters must match a run with the stock
 // pool exactly, and the accounting must stay intact.
 func TestTightConsumerPoolKeepsResults(t *testing.T) {
 	cfg := config.Baseline()
 	tight := 2*(cfg.IntQueueSize+cfg.FPQueueSize+cfg.LSQueueSize) + 1
-	run := func(pool int) *CPU {
+	run := func(pool int) (*CPU, int) {
 		cpu := newCPU(t, "2-MEM", &flushEverything{})
 		if pool > 0 {
 			cpu.initWaitPool(pool)
 		}
-		for i := 0; i < 20; i++ {
-			cpu.Run(1000)
-			if err := cpu.CheckInvariants(); err != nil {
-				t.Fatalf("pool %d, cycle %d: %v", pool, cpu.Now(), err)
+		dry := 0
+		for cpu.Now() < 20000 {
+			cpu.Step()
+			if cpu.waitFree < 0 {
+				dry++
+			}
+			if cpu.Now()%1000 == 0 {
+				if err := cpu.CheckInvariants(); err != nil {
+					t.Fatalf("pool %d, cycle %d: %v", pool, cpu.Now(), err)
+				}
 			}
 		}
-		return cpu
+		return cpu, dry
 	}
-	stock, small := run(0), run(tight)
+	stock, stockDry := run(0)
+	small, smallDry := run(tight)
+	if stockDry != 0 {
+		t.Errorf("stock pool ran dry at the end of %d cycles, want 0", stockDry)
+	}
+	if smallDry == 0 {
+		t.Fatal("tight pool never ran dry: the sweep went untested")
+	}
+	t.Logf("tight pool of %d nodes ran dry at the end of %d cycles", tight, smallDry)
 	for i := 0; i < stock.NumThreads(); i++ {
 		if a, b := stock.ThreadStats(i), small.ThreadStats(i); a != b {
 			t.Errorf("t%d: stock pool %+v, tight pool %+v", i, a, b)

@@ -50,11 +50,9 @@ func digestResult(res *Result) goldenEntry {
 
 // TestGoldenCounterDigests is the determinism regression oracle for the
 // cycle engine: per-thread counter digests for all registered policies
-// on fixed 2-MIX, 4-MIX and 8-MEM runs. The 4-MIX digests were pinned
-// from the pre-zero-alloc engine, the 2-MIX and 8-MEM ones from the
-// scan-based issue select that wakeup-driven select replaced. Any
-// refactor of the event queue, instruction lifecycle, or issue select
-// must keep these digests bit-identical. Regenerate deliberately with
+// on fixed 2-MIX, 4-MIX and 8-MEM runs. Any refactor of the event
+// queue, instruction lifecycle, or issue select must keep these digests
+// bit-identical. Regenerate deliberately with
 //
 //	go test ./internal/sim -run TestGoldenCounterDigests -update
 func TestGoldenCounterDigests(t *testing.T) {
