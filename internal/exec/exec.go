@@ -172,6 +172,7 @@ type Executor struct {
 
 	mu       sync.Mutex
 	inflight map[string]*flight
+	settled  uint64 // flights settled so far; guarded by mu
 }
 
 // New builds an Executor.
@@ -302,6 +303,9 @@ func (e *Executor) Execute(ctx context.Context, cells []*spec.Resolved, onEvent 
 func (e *Executor) cell(ctx context.Context, c *spec.Resolved, started func()) (res *sim.Result, cached bool, err error) {
 	fp := c.Fingerprint
 	for {
+		e.mu.Lock()
+		seen := e.settled
+		e.mu.Unlock()
 		if r, ok := e.store.Get(fp); ok {
 			return r, true, nil
 		}
@@ -318,6 +322,13 @@ func (e *Executor) cell(ctx context.Context, c *spec.Resolved, started func()) (
 			case <-ctx.Done():
 				return nil, false, ctx.Err()
 			}
+		}
+		if e.settled != seen {
+			// A flight settled after the store lookup. If it was this
+			// fingerprint's, its result is in the store now; look again
+			// rather than simulate the cell twice.
+			e.mu.Unlock()
+			continue
 		}
 		f := &flight{done: make(chan struct{})}
 		e.inflight[fp] = f
@@ -407,6 +418,7 @@ func spanID(fp string) string {
 func (e *Executor) settle(fp string, f *flight) {
 	e.mu.Lock()
 	delete(e.inflight, fp)
+	e.settled++
 	e.mu.Unlock()
 	close(f.done)
 }
