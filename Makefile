@@ -1,7 +1,7 @@
 # Developer entry points. Everything here is plain go tool invocations;
 # the Makefile just names the common ones.
 
-.PHONY: build test race bench bench-sweep bench-fabric bench-service bench-ckpt smoke-ckpt chaos-service alloc-guard
+.PHONY: build test race bench bench-sweep bench-fabric smoke-cores chaos-service alloc-guard
 
 build:
 	go build ./...
@@ -27,22 +27,10 @@ bench-sweep:
 bench-fabric:
 	sh scripts/bench_fabric.sh
 
-# Service-level perf trajectory: end-to-end runs/sec and p99
-# submit→done latency against a real dwarnd at 1/4/8 concurrent
-# clients, cold (every run simulated) and hot (cache-served), recorded
-# to BENCH_service.json.
-bench-service:
-	sh scripts/bench_service.sh
-
-# Checkpoint/fork engine perf trajectory: the 72-cell parallel grid
-# with and without checkpointing, recorded to BENCH_ckpt.json.
-bench-ckpt:
-	sh scripts/bench_ckpt.sh
-
-# Checkpoint/fork engine correctness smoke: one warmup per group and
-# digests bit-identical to a serial no-checkpoint run.
-smoke-ckpt:
-	sh scripts/smoke_ckpt.sh
+# Shared generator-core smoke: the 72-cell grid at -parallel 1 and 8
+# gives identical digests and builds exactly 16 cores in each process.
+smoke-cores:
+	sh scripts/smoke_cores.sh
 
 # Crash/fault drills: journal crash recovery, torn-tail truncation, and
 # store-write-error absorption against a real dwarnd via DWARN_CHAOS.

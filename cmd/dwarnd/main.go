@@ -55,7 +55,6 @@ import (
 	"time"
 
 	"dwarn/internal/chaos"
-	"dwarn/internal/ckpt"
 	"dwarn/internal/exec"
 	"dwarn/internal/fabric"
 	"dwarn/internal/journal"
@@ -142,14 +141,6 @@ func main() {
 			os.Exit(1)
 		}
 		opts.Store = ds
-		// Checkpoints persist next to the results they accelerate, so a
-		// restarted dwarnd forks warm groups straight from disk.
-		cds, err := ckpt.NewDirStore(filepath.Join(*storeDir, "ckpt"))
-		if err != nil {
-			logger.Warn("checkpoint store open failed; checkpoints stay in-memory", "dir", *storeDir, "err", err)
-		} else {
-			opts.Checkpoints = ckpt.Chain{ckpt.NewMemStore(0), cds}
-		}
 	}
 	if *journalPath == "" && *storeDir != "" {
 		*journalPath = filepath.Join(*storeDir, "journal.log")
@@ -275,7 +266,6 @@ func runWorker(logger *obs.Logger, coordinator, name string, capacity int, store
 		return 2
 	}
 	var store exec.Store
-	ckpts := ckpt.Chain{ckpt.NewMemStore(0)}
 	if storeDir != "" {
 		ds, err := exec.NewDirStore(storeDir)
 		if err != nil {
@@ -283,15 +273,7 @@ func runWorker(logger *obs.Logger, coordinator, name string, capacity int, store
 			return 1
 		}
 		store = ds
-		if cds, err := ckpt.NewDirStore(filepath.Join(storeDir, "ckpt")); err != nil {
-			logger.Warn("checkpoint store open failed", "dir", storeDir, "err", err)
-		} else {
-			ckpts = append(ckpts, cds)
-		}
 	}
-	// Last tier: pull checkpoints the fleet already warmed from the
-	// coordinator, and push the ones this worker builds.
-	ckpts = append(ckpts, fabric.NewRemoteCkptStore(coordinator, authToken, nil))
 	reg := obs.NewRegistry()
 	if adminAddr != "" {
 		mux := http.NewServeMux()
@@ -317,7 +299,6 @@ func runWorker(logger *obs.Logger, coordinator, name string, capacity int, store
 		Name:        name,
 		Capacity:    capacity,
 		Store:       store,
-		Checkpoints: ckpts,
 		Logger:      logger,
 		AuthToken:   authToken,
 		Registry:    reg,

@@ -28,7 +28,6 @@ import (
 	"strings"
 	"time"
 
-	"dwarn/internal/ckpt"
 	"dwarn/internal/exp"
 	"dwarn/internal/obs"
 	"dwarn/internal/out"
@@ -44,8 +43,6 @@ func main() {
 		warmup   = flag.Int64("warmup", 0, "warmup cycles per run (0 = default)")
 		measure  = flag.Int64("measure", 0, "measured cycles per run (0 = default)")
 		par      = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		ckptOn   = flag.Bool("ckpt", true, "fork grid cells sharing a (machine, workload, seed) group from one post-prewarm checkpoint")
-		ckptDir  = flag.String("ckpt-dir", "", "persist checkpoints in this directory (implies -ckpt), shared across invocations")
 		asJSON   = flag.Bool("json", false, "emit JSON instead of aligned text tables")
 		logLevel = flag.String("log-level", "info", "stderr log verbosity: debug, info, warn, error, off")
 		metrics  = flag.String("metrics", "", "after all experiments, dump the metrics registry to this file in Prometheus text format")
@@ -67,24 +64,11 @@ func main() {
 	// as structured key=value lines, so piped table output stays clean.
 	logger := obs.NewLogger(os.Stderr, level)
 
-	var ckpts ckpt.Store
-	if *ckptOn || *ckptDir != "" {
-		chain := ckpt.Chain{ckpt.NewMemStore(0)}
-		if *ckptDir != "" {
-			cds, err := ckpt.NewDirStore(*ckptDir)
-			if err != nil {
-				fatal(err)
-			}
-			chain = append(chain, cds)
-		}
-		ckpts = chain
-	}
 	r := exp.NewRunner(exp.Config{
 		Seed:          *seed,
 		WarmupCycles:  *warmup,
 		MeasureCycles: *measure,
 		Parallelism:   *par,
-		Checkpoints:   ckpts,
 	})
 
 	if *specPath != "" {

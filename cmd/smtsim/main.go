@@ -35,7 +35,6 @@ import (
 	"strings"
 	"syscall"
 
-	"dwarn/internal/ckpt"
 	"dwarn/internal/config"
 	"dwarn/internal/core"
 	"dwarn/internal/exec"
@@ -65,8 +64,6 @@ func main() {
 		maxCells  = flag.Int("max-cells", spec.DefaultMaxCells, "largest sweep expansion a -spec file may request")
 		parallel  = flag.Int("parallel", 0, "max concurrent sweep cells with -spec (0 = GOMAXPROCS)")
 		storeDir  = flag.String("store", "", "persist -spec cell results in this directory; rerunning resumes past stored cells")
-		ckptOn    = flag.Bool("ckpt", true, "with -spec, fork sweep cells sharing a (machine, workload, seed) group from one post-prewarm checkpoint instead of warming each cold")
-		ckptDir   = flag.String("ckpt-dir", "", "persist checkpoints in this directory (implies -ckpt); rerunning forks even the first cell of each warm group")
 		listWork  = flag.Bool("list", false, "list workloads and benchmarks, then exit")
 		metrics   = flag.String("metrics", "", "after the run or sweep, dump the metrics registry to this file in Prometheus text format")
 		tlPath    = flag.String("timeline", "", "sample interval frames during the measured window and write them to this file (.csv extension → CSV, otherwise JSONL)")
@@ -83,7 +80,7 @@ func main() {
 	defer stopProf()
 
 	if *specPath != "" {
-		ok := runSpecFile(*specPath, *maxCells, *parallel, *storeDir, *ckptDir, *ckptOn, *asJSON)
+		ok := runSpecFile(*specPath, *maxCells, *parallel, *storeDir, *asJSON)
 		dumpMetrics(*metrics)
 		if !ok {
 			stopProf()
@@ -234,7 +231,7 @@ type specCell struct {
 // resolve as filesystem paths. Interrupting the sweep (SIGINT/SIGTERM)
 // stops cells cooperatively; with -store the finished prefix survives
 // for the next run to resume from.
-func runSpecFile(path string, maxCells, parallel int, storeDir, ckptDir string, ckptOn, asJSON bool) bool {
+func runSpecFile(path string, maxCells, parallel int, storeDir string, asJSON bool) bool {
 	f, err := spec.LoadFile(path)
 	if err != nil {
 		fatal(err)
@@ -258,19 +255,7 @@ func runSpecFile(path string, maxCells, parallel int, storeDir, ckptDir string, 
 		}
 		store = ds
 	}
-	var ckpts ckpt.Store
-	if ckptOn || ckptDir != "" {
-		chain := ckpt.Chain{ckpt.NewMemStore(0)}
-		if ckptDir != "" {
-			cds, err := ckpt.NewDirStore(ckptDir)
-			if err != nil {
-				fatal(err)
-			}
-			chain = append(chain, cds)
-		}
-		ckpts = chain
-	}
-	ex := exec.New(exec.Options{Workers: parallel, Store: store, Checkpoints: ckpts})
+	ex := exec.New(exec.Options{Workers: parallel, Store: store})
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -11,8 +11,6 @@
 package bpred
 
 import (
-	"fmt"
-
 	"dwarn/internal/config"
 	"dwarn/internal/isa"
 )
@@ -288,91 +286,6 @@ func (p *Predictor) btbInsert(pc, target uint64) {
 		}
 	}
 	set[victim] = btbEntry{tag: tag, target: target, valid: true, lastUse: p.btbClock}
-}
-
-// BTBEntryState is the serializable form of one BTB entry; see State.
-type BTBEntryState struct {
-	Tag     uint64
-	Target  uint64
-	Valid   bool
-	LastUse int64
-}
-
-// State is a complete snapshot of the predictor's learned and
-// speculative state: the shared PHT, the BTB (way-major per set:
-// BTB[set*ways+way]), per-thread global history, and the per-thread
-// return address stacks. Stats are measurement state and excluded.
-type State struct {
-	PHT      []uint8
-	BTBSets  int
-	BTBWays  int
-	BTB      []BTBEntryState
-	BTBClock int64
-	History  []uint32
-	RAS      [][]uint64
-	RASTop   []int
-}
-
-// State snapshots the predictor.
-func (p *Predictor) State() State {
-	st := State{
-		PHT:      append([]uint8(nil), p.pht...),
-		BTBSets:  p.btbSets,
-		BTBWays:  p.cfg.BTBWays,
-		BTB:      make([]BTBEntryState, 0, p.cfg.BTBEntries),
-		BTBClock: p.btbClock,
-		History:  append([]uint32(nil), p.history...),
-		RAS:      make([][]uint64, len(p.ras)),
-		RASTop:   append([]int(nil), p.rasTop...),
-	}
-	for _, set := range p.btb {
-		for _, e := range set {
-			st.BTB = append(st.BTB, BTBEntryState{Tag: e.tag, Target: e.target, Valid: e.valid, LastUse: e.lastUse})
-		}
-	}
-	for i := range p.ras {
-		st.RAS[i] = append([]uint64(nil), p.ras[i]...)
-	}
-	return st
-}
-
-// SetState overwrites the predictor from a snapshot taken on an
-// identically configured predictor with the same thread count. A shape
-// mismatch is an error; the predictor may be partially written in that
-// case, so callers must treat failure as fatal for the restore (fall
-// back to a freshly built machine).
-func (p *Predictor) SetState(st State) error {
-	if len(st.PHT) != len(p.pht) {
-		return fmt.Errorf("bpred: snapshot PHT size %d does not match %d", len(st.PHT), len(p.pht))
-	}
-	if st.BTBSets != p.btbSets || st.BTBWays != p.cfg.BTBWays || len(st.BTB) != st.BTBSets*st.BTBWays {
-		return fmt.Errorf("bpred: snapshot BTB geometry %dx%d (%d entries) does not match %dx%d",
-			st.BTBSets, st.BTBWays, len(st.BTB), p.btbSets, p.cfg.BTBWays)
-	}
-	if len(st.History) != len(p.history) || len(st.RAS) != len(p.ras) || len(st.RASTop) != len(p.rasTop) {
-		return fmt.Errorf("bpred: snapshot thread count %d does not match %d", len(st.History), len(p.history))
-	}
-	for i := range st.RAS {
-		if len(st.RAS[i]) != len(p.ras[i]) {
-			return fmt.Errorf("bpred: snapshot RAS %d size %d does not match %d", i, len(st.RAS[i]), len(p.ras[i]))
-		}
-	}
-	copy(p.pht, st.PHT)
-	i := 0
-	for s := range p.btb {
-		for w := range p.btb[s] {
-			e := st.BTB[i]
-			p.btb[s][w] = btbEntry{tag: e.Tag, target: e.Target, valid: e.Valid, lastUse: e.LastUse}
-			i++
-		}
-	}
-	p.btbClock = st.BTBClock
-	copy(p.history, st.History)
-	for t := range st.RAS {
-		copy(p.ras[t], st.RAS[t])
-	}
-	copy(p.rasTop, st.RASTop)
-	return nil
 }
 
 // Reset clears all predictor state and statistics.

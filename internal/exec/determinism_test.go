@@ -15,7 +15,11 @@ import (
 // per-cell counter digests. Parallelism may only change wall-clock
 // time, never a single counter — each cell's simulation is hermetic,
 // which is exactly what the concurrency audit of pipeline/workload/core
-// (no package-level mutable state, no shared RNG) guarantees.
+// (no package-level mutable state, no shared RNG) guarantees. The one
+// shared state, workload's cache of immutable generator cores, is
+// filled by whichever pass runs first; the 8-worker pass goes first, on
+// seeds no other test here uses, so under -race it is the pass that
+// builds those cores concurrently.
 func TestParallelSweepBitIdenticalToSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full policy grid in -short mode")
@@ -27,7 +31,7 @@ func TestParallelSweepBitIdenticalToSerial(t *testing.T) {
 	ss := spec.SweepSpec{
 		Policies:     axes,
 		Workloads:    []spec.Workload{{Name: "2-MIX"}, {Name: "2-MEM"}},
-		Seeds:        []uint64{1, 2},
+		Seeds:        []uint64{9101, 9102},
 		WarmupCycles: 1500, MeasureCycles: 4000,
 	}
 	runs, err := ss.Expand(0)
@@ -41,8 +45,8 @@ func TestParallelSweepBitIdenticalToSerial(t *testing.T) {
 		}
 	}
 
-	serial := New(Options{Workers: 1}).Execute(context.Background(), cells, nil)
 	parallel := New(Options{Workers: 8}).Execute(context.Background(), cells, nil)
+	serial := New(Options{Workers: 1}).Execute(context.Background(), cells, nil)
 	if err := FirstError(serial); err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,6 @@ import (
 	"sync"
 	"time"
 
-	"dwarn/internal/ckpt"
 	"dwarn/internal/obs"
 	"dwarn/internal/sim"
 	"dwarn/internal/spec"
@@ -78,14 +77,6 @@ type Options struct {
 	// be followed from the HTTP access log through the worker pool into
 	// the simulator's own run logs.
 	Logger *obs.Logger
-	// Checkpoints, when set, enables the checkpoint/fork engine for
-	// cells run on the local pool: cells sharing a spec.CheckpointKey
-	// are grouped, the group's first cell warms cold and publishes its
-	// post-prewarm machine state, and the rest fork from it — one
-	// warmup per (machine, workload, seed) group per store lifetime.
-	// The default RunFunc threads the store into sim.Options; a custom
-	// Run sees the same gated store via CheckpointStore().
-	Checkpoints ckpt.Store
 }
 
 // Cell event states, in the order a cell can report them. Every cell
@@ -167,8 +158,6 @@ type Executor struct {
 	sem     chan struct{}
 	met     *metrics
 	log     *obs.Logger
-	ckgate  *warmGate
-	ckpts   ckpt.Store // gated; nil when checkpointing is off
 
 	mu       sync.Mutex
 	inflight map[string]*flight
@@ -183,17 +172,9 @@ func New(opts Options) *Executor {
 	if opts.Store == nil {
 		opts.Store = NewMemStore()
 	}
-	var ckgate *warmGate
-	var ckpts ckpt.Store
-	if opts.Checkpoints != nil {
-		ckgate = newWarmGate()
-		ckpts = gatedCkptStore{inner: opts.Checkpoints, gate: ckgate}
-	}
 	if opts.Run == nil {
 		opts.Run = func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
-			o := res.Options
-			o.Checkpoints = ckpts // nil interface when checkpointing is off
-			return sim.RunContext(ctx, o)
+			return sim.RunContext(ctx, res.Options)
 		}
 	}
 	met := newMetrics(opts.Registry, opts.Workers)
@@ -204,8 +185,6 @@ func New(opts Options) *Executor {
 		workers: opts.Workers,
 		disp:    opts.Dispatcher,
 		log:     opts.Logger,
-		ckgate:  ckgate,
-		ckpts:   ckpts,
 		// Every store access — the executor's own memoization and
 		// callers going through Store(), like the service's submit-time
 		// precheck — counts into the hit/miss/put series.
@@ -219,12 +198,6 @@ func New(opts Options) *Executor {
 
 // Store returns the executor's result store.
 func (e *Executor) Store() Store { return e.store }
-
-// CheckpointStore returns the executor's gated checkpoint store, for
-// callers that supply their own RunFunc but still want cells to fork
-// (thread it into sim.Options.Checkpoints). Nil when checkpointing is
-// off.
-func (e *Executor) CheckpointStore() ckpt.Store { return e.ckpts }
 
 // Workers returns the pool bound.
 func (e *Executor) Workers() int { return e.workers }
@@ -368,17 +341,6 @@ func (e *Executor) lead(ctx context.Context, c *spec.Resolved, started func()) (
 		// started fires when the fabric grants the cell's first lease.
 		res, err = e.disp.Dispatch(runCtx, c, started)
 	} else {
-		// Checkpoint groups warm once: the group's first cell leads
-		// while siblings hold here (before taking a pool slot, so a
-		// wide group never starves unrelated cells), then fork the
-		// instant the leader publishes its post-prewarm state.
-		if e.ckgate != nil && c.CheckpointKey != "" {
-			leave, gerr := e.ckgate.enter(ctx, c.CheckpointKey)
-			if gerr != nil {
-				return nil, gerr
-			}
-			defer leave()
-		}
 		// Take a worker slot, honouring cancellation while queued so a
 		// canceled sweep's waiting cells release instantly.
 		select {

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"sync"
 
-	"dwarn/internal/ckpt"
 	"dwarn/internal/exec"
 	"dwarn/internal/sim"
 	"dwarn/internal/spec"
@@ -38,10 +37,6 @@ type Config struct {
 	MeasureCycles int64
 	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
 	Parallelism int
-	// Checkpoints, when non-nil, enables the checkpoint/fork engine:
-	// grid cells sharing a (machine, workload, seed) group warm once
-	// and fork the group's post-prewarm state from this store.
-	Checkpoints ckpt.Store
 }
 
 // Default run lengths for experiments: long enough for stable rankings,
@@ -91,7 +86,7 @@ func NewRunner(cfg Config) *Runner {
 	return &Runner{
 		cfg:    cfg,
 		traces: spec.FileTraces{},
-		exec:   exec.New(exec.Options{Workers: cfg.Parallelism, Checkpoints: cfg.Checkpoints}),
+		exec:   exec.New(exec.Options{Workers: cfg.Parallelism}),
 		index:  make(map[runKey]string),
 	}
 }

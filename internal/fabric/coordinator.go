@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"dwarn/internal/ckpt"
 	"dwarn/internal/exec"
 	"dwarn/internal/obs"
 	"dwarn/internal/sim"
@@ -40,11 +39,6 @@ type Config struct {
 	Registry *obs.Registry
 	// Logger receives lease lifecycle logs (nil = discard).
 	Logger *obs.Logger
-	// Checkpoints, when non-nil, is served under /v2/fabric/ckpt/{key}:
-	// remote workers pull post-prewarm machine images by checkpoint key
-	// and push the ones they build, so a sweep group warmed anywhere in
-	// the fleet is forked everywhere. Nil disables the endpoint (404).
-	Checkpoints ckpt.Store
 }
 
 func (c Config) withDefaults() Config {

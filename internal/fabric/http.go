@@ -24,8 +24,6 @@ func (c *Coordinator) Routes(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v2/fabric/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("POST /v2/fabric/complete", c.handleComplete)
 	mux.HandleFunc("GET /v2/fabric", c.handleStatus)
-	mux.HandleFunc("GET /v2/fabric/ckpt/{key}", c.handleCkptGet)
-	mux.HandleFunc("POST /v2/fabric/ckpt/{key}", c.handleCkptPut)
 }
 
 func fabricJSON(w http.ResponseWriter, status int, v any) {

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dwarn/internal/ckpt"
 	"dwarn/internal/exec"
 	"dwarn/internal/obs"
 	"dwarn/internal/sim"
@@ -46,12 +45,6 @@ type WorkerOptions struct {
 	Logger *obs.Logger
 	// Run executes a cell (nil = sim.RunContext).
 	Run exec.RunFunc
-	// Checkpoints, when non-nil, is threaded into every cell the default
-	// Run executes, so a worker's cells fork post-prewarm state instead
-	// of warming cold. Typically a ckpt.Chain ending in the
-	// coordinator's RemoteCkptStore: local mem (and optionally dir)
-	// tiers first, the fleet-shared tier last.
-	Checkpoints ckpt.Store
 	// Client issues the RPCs (nil = a dedicated client with a timeout
 	// comfortably above the long-poll window).
 	Client *http.Client
@@ -122,9 +115,7 @@ func NewWorker(opts WorkerOptions) *Worker {
 	}
 	if w.run == nil {
 		w.run = func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
-			o := res.Options
-			o.Checkpoints = opts.Checkpoints
-			return sim.RunContext(ctx, o)
+			return sim.RunContext(ctx, res.Options)
 		}
 	}
 	w.heartbeats.Store(true)

@@ -199,62 +199,6 @@ func (c *Cache) Reset() {
 	c.Stats = Stats{}
 }
 
-// LineState is the serializable form of one cache line; see State.
-type LineState struct {
-	Tag     uint64
-	Valid   bool
-	ReadyAt int64
-	LastUse int64
-}
-
-// State is a complete, geometry-tagged snapshot of a cache's
-// microarchitectural contents (lines and the LRU clock; Stats are
-// measurement state and deliberately excluded). Lines are stored
-// way-major per set: Lines[set*Ways+way].
-type State struct {
-	Sets     int
-	Ways     int
-	UseClock int64
-	Lines    []LineState
-}
-
-// State snapshots the cache's lines and replacement clock.
-func (c *Cache) State() State {
-	st := State{
-		Sets:     len(c.sets),
-		Ways:     c.cfg.Ways,
-		UseClock: c.useClock,
-		Lines:    make([]LineState, 0, len(c.sets)*c.cfg.Ways),
-	}
-	for _, set := range c.sets {
-		for _, ln := range set {
-			st.Lines = append(st.Lines, LineState{Tag: ln.tag, Valid: ln.valid, ReadyAt: ln.readyAt, LastUse: ln.lastUse})
-		}
-	}
-	return st
-}
-
-// SetState overwrites the cache's lines and replacement clock from a
-// snapshot taken on an identically configured cache. A geometry mismatch
-// is an error and leaves the cache unchanged — the caller falls back to
-// a cold start rather than restoring into the wrong shape.
-func (c *Cache) SetState(st State) error {
-	if st.Sets != len(c.sets) || st.Ways != c.cfg.Ways || len(st.Lines) != st.Sets*st.Ways {
-		return fmt.Errorf("cache: snapshot geometry %dx%d (%d lines) does not match %dx%d",
-			st.Sets, st.Ways, len(st.Lines), len(c.sets), c.cfg.Ways)
-	}
-	i := 0
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			ls := st.Lines[i]
-			c.sets[s][w] = line{tag: ls.Tag, valid: ls.Valid, readyAt: ls.ReadyAt, lastUse: ls.LastUse}
-			i++
-		}
-	}
-	c.useClock = st.UseClock
-	return nil
-}
-
 // victim picks the replacement way in set: an invalid way if one exists,
 // otherwise the least-recently-used way whose fill has arrived. Lines
 // still in flight are only evicted when the whole set is in flight —

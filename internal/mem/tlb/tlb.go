@@ -3,10 +3,7 @@
 // triggers for the STALL and FLUSH policies.
 package tlb
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // Stats counts TLB accesses.
 type Stats struct {
@@ -93,42 +90,6 @@ func (t *TLB) Probe(addr uint64) bool {
 		}
 	}
 	return false
-}
-
-// EntryState is the serializable form of one TLB entry; see State.
-type EntryState struct {
-	Page    uint64
-	Valid   bool
-	LastUse int64
-}
-
-// State is a complete snapshot of the TLB's translations and LRU clock
-// (Stats are measurement state and excluded).
-type State struct {
-	Clock   int64
-	Entries []EntryState
-}
-
-// State snapshots the TLB's entries and replacement clock.
-func (t *TLB) State() State {
-	st := State{Clock: t.clock, Entries: make([]EntryState, len(t.entries))}
-	for i, e := range t.entries {
-		st.Entries[i] = EntryState{Page: e.page, Valid: e.valid, LastUse: e.lastUse}
-	}
-	return st
-}
-
-// SetState overwrites the TLB from a snapshot taken on an identically
-// sized TLB; a size mismatch is an error and leaves the TLB unchanged.
-func (t *TLB) SetState(st State) error {
-	if len(st.Entries) != len(t.entries) {
-		return fmt.Errorf("tlb: snapshot has %d entries, TLB has %d", len(st.Entries), len(t.entries))
-	}
-	for i, e := range st.Entries {
-		t.entries[i] = entry{page: e.Page, valid: e.Valid, lastUse: e.LastUse}
-	}
-	t.clock = st.Clock
-	return nil
 }
 
 // Reset clears all entries and statistics.

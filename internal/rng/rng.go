@@ -27,8 +27,8 @@ func (s *Source) Split(salt uint64) *Source {
 }
 
 // State returns the generator's internal state word. Together with
-// SetState it makes a Source checkpointable: restoring the word resumes
-// the stream at exactly the same position.
+// SetState it lets a stream be started again from a recorded position:
+// restoring the word resumes the stream at exactly that point.
 func (s *Source) State() uint64 { return s.state }
 
 // SetState overwrites the generator's internal state word.

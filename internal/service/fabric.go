@@ -71,9 +71,6 @@ func (s *Server) startFabric(fo *FabricOptions) *fabric.Coordinator {
 		WorkerTTL: fo.WorkerTTL,
 		Registry:  s.reg,
 		Logger:    s.log,
-		// Serve the server's checkpoint tier under /v2/fabric/ckpt so
-		// remote workers fork groups warmed anywhere in the fleet.
-		Checkpoints: s.opts.Checkpoints,
 	})
 	n := fo.LocalWorkers
 	if n <= 0 && !fo.LocalWorkersSet {

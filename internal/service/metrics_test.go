@@ -140,18 +140,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("dwarn_sim_cycles_per_second = %v, want > 0", got)
 	}
 
-	// Checkpoint/fork engine (always on in the service): the sweep's four
-	// cells form two (machine, workload, seed) groups, so at least two
-	// warmed cold and published (misses) and at least two forked (hits).
-	// obs.Default is process-wide, so assert floors, not exact counts.
-	if got := m["dwarn_ckpt_misses_total"]; got < 2 {
-		t.Fatalf("dwarn_ckpt_misses_total = %v, want >= 2", got)
-	}
-	if got := m["dwarn_ckpt_hits_total"]; got < 2 {
-		t.Fatalf("dwarn_ckpt_hits_total = %v, want >= 2", got)
-	}
-	if got := m["dwarn_ckpt_bytes"]; got <= 0 {
-		t.Fatalf("dwarn_ckpt_bytes = %v, want > 0", got)
+	// Shared generator cores: the sweep's cells built at least one
+	// calibrated core in this process. obs.Default is process-wide and
+	// the cache may already hold cores from other tests, so assert only
+	// that the counter is exported and has counted.
+	if got := m["dwarn_workload_core_builds_total"]; got < 1 {
+		t.Fatalf("dwarn_workload_core_builds_total = %v, want >= 1", got)
 	}
 
 	// HTTP middleware: the sweep submission was counted under its route

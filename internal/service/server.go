@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dwarn/internal/ckpt"
 	"dwarn/internal/config"
 	"dwarn/internal/core"
 	"dwarn/internal/exec"
@@ -69,13 +68,6 @@ type Options struct {
 	// the same layout resumable CLI sweeps use, so the two share cache
 	// identity through the filesystem).
 	Store exec.Store
-	// Checkpoints backs the checkpoint/fork engine: sweep cells sharing
-	// a (machine, workload, seed) group warm once and fork the group's
-	// post-prewarm machine state from this store. Nil defaults to a
-	// bounded in-memory store — checkpointing is always on, because
-	// forked runs are bit-identical to cold starts. dwarnd -store DIR
-	// chains a durable tier under DIR/ckpt so groups survive restarts.
-	Checkpoints ckpt.Store
 	// Fabric, when non-nil, embeds a distributed-sweep coordinator: the
 	// executor dispatches leader cells into its lease queue, in-process
 	// local workers and remote `dwarnd -worker` processes drain it, and
@@ -156,9 +148,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxTraceStoreBytes <= 0 {
 		o.MaxTraceStoreBytes = 1 << 30
-	}
-	if o.Checkpoints == nil {
-		o.Checkpoints = ckpt.NewMemStore(ckpt.DefaultMemBytes)
 	}
 	if o.Registry == nil {
 		o.Registry = obs.NewRegistry()
@@ -251,13 +240,12 @@ func New(opts Options) *Server {
 		s.fabric = s.startFabric(opts.Fabric)
 	}
 	s.exec = exec.New(exec.Options{
-		Workers:     opts.Workers,
-		Store:       store,
-		Dispatcher:  dispatcherOrNil(s.fabric),
-		Registry:    s.reg,
-		Logger:      s.log,
-		Run:         s.runCell,
-		Checkpoints: opts.Checkpoints,
+		Workers:    opts.Workers,
+		Store:      store,
+		Dispatcher: dispatcherOrNil(s.fabric),
+		Registry:   s.reg,
+		Logger:     s.log,
+		Run:        s.runCell,
 	})
 	s.registerGauges()
 	s.routes()
@@ -278,9 +266,6 @@ func (s *Server) runCell(ctx context.Context, res *spec.Resolved) (*sim.Result, 
 		fp := res.Fingerprint
 		opts.OnFrame = func(f *timeline.Frame) { sink(fp, f) }
 	}
-	// The executor's gated checkpoint store, so cells fork post-prewarm
-	// state and the warm gate releases the moment a group publishes.
-	opts.Checkpoints = s.exec.CheckpointStore()
 	return sim.RunContext(ctx, opts)
 }
 

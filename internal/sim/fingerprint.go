@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 
 	"dwarn/internal/config"
 	"dwarn/internal/core"
@@ -67,7 +66,7 @@ func Fingerprint(opts Options, policyID string) string {
 	// covers fields added later, at the cost of keys not being stable
 	// across releases — fine for an in-process/in-memory cache identity.
 	h := sha256.New()
-	hashMachine(h, cfg)
+	fmt.Fprintf(h, "machine|%#v\n", *cfg)
 	fmt.Fprintf(h, "policy|%s\n", policyID)
 	if opts.Trace != nil {
 		fmt.Fprintf(h, "trace|%s|%d\n", opts.Trace.Digest, len(opts.Trace.Threads))
@@ -76,64 +75,16 @@ func Fingerprint(opts Options, policyID string) string {
 		// cache entry their identical results deserve.
 		seed = 0
 	} else {
-		hashWorkload(h, opts.Workload)
-	}
-	fmt.Fprintf(h, "protocol|seed=%d|warmup=%d|measure=%d\n", seed, warmup, measure)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// hashMachine writes the machine half's machine component: the full
-// resolved processor configuration.
-func hashMachine(h io.Writer, cfg *config.Processor) {
-	fmt.Fprintf(h, "machine|%#v\n", *cfg)
-}
-
-// hashWorkload writes the synthetic-workload component: the workload
-// identity plus the calibrated profile of every benchmark (so
-// re-registering a benchmark changes every key derived from it).
-func hashWorkload(h io.Writer, wl workload.Workload) {
-	fmt.Fprintf(h, "workload|%s|%d|%s\n", wl.Name, wl.Threads, wl.Mix)
-	for _, b := range wl.Benchmarks {
-		if p, err := workload.Get(b); err == nil {
-			fmt.Fprintf(h, "bench|%#v\n", *p)
-		} else {
-			fmt.Fprintf(h, "bench|unknown:%s\n", b)
+		wl := opts.Workload
+		fmt.Fprintf(h, "workload|%s|%d|%s\n", wl.Name, wl.Threads, wl.Mix)
+		for _, b := range wl.Benchmarks {
+			if p, err := workload.Get(b); err == nil {
+				fmt.Fprintf(h, "bench|%#v\n", *p)
+			} else {
+				fmt.Fprintf(h, "bench|unknown:%s\n", b)
+			}
 		}
 	}
-}
-
-// CheckpointKey returns the content-addressed identity of a run's
-// post-prewarm machine state: the (machine, workload, seed) half of
-// Fingerprint, deliberately excluding the policy, its parameters, and
-// the warmup/measure cycle counts — none of which influence the state
-// the snapshot captures (prewarm touches caches and TLBs before any
-// cycle is simulated, under no policy). Every cell of a policy or
-// threshold sweep over one workload therefore shares a key, which is
-// exactly what lets the first cell warm and the rest fork.
-//
-// The empty string means "not checkpointable": trace replays (their
-// sources cannot externalize cursors, and replay is already the fast
-// path), recording runs (the writer wrapper must observe the stream
-// from its start), and out-of-registry PolicyInstance runs (the cold
-// fallback could not rebuild the policy).
-func CheckpointKey(opts Options) string {
-	if opts.Trace != nil || opts.Record != nil || opts.PolicyInstance != nil {
-		return ""
-	}
-	cfg := opts.Config
-	if cfg == nil {
-		cfg = config.Baseline()
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = DefaultSeed
-	}
-	h := sha256.New()
-	// The format magic is part of the key: a codec change re-keys every
-	// checkpoint instead of decoding stale images.
-	fmt.Fprintf(h, "ckpt|v1\n")
-	hashMachine(h, cfg)
-	hashWorkload(h, opts.Workload)
-	fmt.Fprintf(h, "seed=%d\n", seed)
+	fmt.Fprintf(h, "protocol|seed=%d|warmup=%d|measure=%d\n", seed, warmup, measure)
 	return hex.EncodeToString(h.Sum(nil))
 }

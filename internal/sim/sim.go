@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"dwarn/internal/bpred"
-	"dwarn/internal/ckpt"
 	"dwarn/internal/config"
 	"dwarn/internal/core"
 	"dwarn/internal/mem/hierarchy"
@@ -72,15 +71,6 @@ type Options struct {
 	// Timeline.MaxFrames further samples; consume or copy it before
 	// returning.
 	OnFrame func(*timeline.Frame)
-	// Checkpoints, when non-nil, enables the checkpoint/fork engine:
-	// runs sharing a CheckpointKey (same machine, workload, and seed —
-	// policy and run lengths deliberately excluded) fork their
-	// post-prewarm machine state from the store instead of rebuilding
-	// generators and re-touching caches. Purely an optimization: forked
-	// runs are bit-identical to cold starts, and any restore problem
-	// falls back to a cold start. Runs whose key is empty (trace
-	// replay, recording, out-of-registry policies) ignore the store.
-	Checkpoints ckpt.Store
 }
 
 // Default run lengths: long enough that IPCs are stable to within a few
@@ -237,13 +227,6 @@ func runContext(ctx context.Context, opts Options) (*Result, error) {
 		}
 	}
 
-	// The checkpoint key covers only the (machine, workload, seed) half
-	// of the run identity; empty means this run class can't fork.
-	ckKey := ""
-	if opts.Checkpoints != nil {
-		ckKey = CheckpointKey(opts)
-	}
-
 	var srcs []workload.Source
 	var benchmarks []string
 	wlName := opts.Workload.Name
@@ -254,15 +237,12 @@ func runContext(ctx context.Context, opts Options) (*Result, error) {
 			wlName = "trace:" + opts.Trace.Workload
 		}
 	} else {
+		// Every synthetic run goes through the process-wide core cache:
+		// streams are bit-identical to freshly built generators, but
+		// runs sharing a (workload, seed) group build and calibrate each
+		// program once.
 		var err error
-		if ckKey != "" {
-			// Forkable runs share calibrated program cores process-wide:
-			// bit-identical streams, but only the group's first run pays
-			// for program construction and calibration.
-			srcs, err = opts.Workload.SharedGenerators(seed)
-		} else {
-			srcs, err = opts.Workload.Generators(seed)
-		}
+		srcs, err = opts.Workload.SharedGenerators(seed)
 		if err != nil {
 			return nil, err
 		}
@@ -278,45 +258,7 @@ func runContext(ctx context.Context, opts Options) (*Result, error) {
 		return nil, err
 	}
 
-	// Restore-or-warm: fork the post-prewarm state from the store, or
-	// warm cold and publish it. Any restore failure rebuilds the whole
-	// machine from scratch — a half-restored machine must never run.
-	warmed := false
-	if ckKey != "" {
-		if img, ok := opts.Checkpoints.Get(ckKey); ok {
-			if rerr := Restore(img, cpu, srcs); rerr == nil {
-				ckpt.RecordHit()
-				warmed = true
-			} else {
-				ckpt.RecordFallback()
-				pol, err = core.NewPolicyParams(opts.Policy, opts.PolicyParams)
-				if err != nil {
-					return nil, err
-				}
-				srcs, err = opts.Workload.Generators(seed)
-				if err != nil {
-					return nil, err
-				}
-				cpu, err = pipeline.New(cfg, pol, srcs)
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	if !warmed {
-		prewarm(cpu, srcs)
-		if ckKey != "" {
-			if img, serr := Snapshot(ckKey, cpu, srcs, seed); serr == nil {
-				opts.Checkpoints.Put(ckKey, img)
-				ckpt.RecordMiss(img.ApproxBytes())
-			} else {
-				// Unsnapshotable (non-quiescent or opaque source): still a
-				// cold warmup, just nothing published for siblings.
-				ckpt.RecordMiss(0)
-			}
-		}
-	}
+	prewarm(cpu, srcs)
 
 	var sampler *timeline.Sampler
 	if opts.Timeline != nil {

@@ -270,12 +270,6 @@ type Resolved struct {
 	// run's outcome. Baselines is deliberately excluded: it selects
 	// extra metrics over the same simulation.
 	Fingerprint string
-	// CheckpointKey is the (machine, workload, seed) half of the
-	// fingerprint — the identity of the run's post-prewarm machine
-	// state. Cells of a sweep sharing a key can fork one warmup.
-	// Empty when the run can't checkpoint (trace replay, recording,
-	// out-of-registry policies).
-	CheckpointKey string
 }
 
 // Resolve validates, canonicalizes, compiles, and fingerprints the
@@ -399,10 +393,9 @@ func (s *RunSpec) resolve(r TraceResolver, static bool) (*Resolved, error) {
 	}
 
 	return &Resolved{
-		Spec:          canonical,
-		Options:       opts,
-		Fingerprint:   sim.Fingerprint(opts, ""),
-		CheckpointKey: sim.CheckpointKey(opts),
+		Spec:        canonical,
+		Options:     opts,
+		Fingerprint: sim.Fingerprint(opts, ""),
 	}, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"dwarn/internal/isa"
+	"dwarn/internal/obs"
 	"dwarn/internal/rng"
 )
 
@@ -59,9 +60,9 @@ type Generator struct {
 // assigned data homes, the calibrated region weights and adjustments,
 // the replay metadata, and the walker RNG's initial state. Cores are
 // the expensive part of generator construction (program synthesis plus
-// two 300k-instruction calibration walks), so the checkpoint/fork
-// engine shares one core across every sweep cell of a (workload, seed)
-// group; see NewGeneratorShared.
+// two 300k-instruction calibration walks), and nothing in them depends
+// on the fetch policy, so every sweep cell of a (workload, seed) group
+// shares one core; see NewGeneratorShared.
 type genCore struct {
 	prof *Profile
 	base uint64
@@ -146,15 +147,15 @@ func NewGenerator(prof *Profile, seed, base uint64) *Generator {
 	return newFromCore(buildCore(prof, seed, base))
 }
 
-// coreCache memoizes built cores for the checkpoint/fork engine. Keyed
-// by profile identity (the registered *Profile pointer, so a
-// re-registered benchmark never aliases a stale program), seed, and
-// base. Bounded: cores hold the full static program, so the cache keeps
-// the most recent handful — enough for the paper's grids, where every
-// cell of a threshold sweep shares one (workload, seed) group.
+// coreCache memoizes built cores for every synthetic run. Keyed by
+// profile identity (the registered *Profile pointer, so a re-registered
+// benchmark never aliases a stale program), seed, and base. Bounded:
+// cores hold the full static program, so the cache keeps the most
+// recent handful — enough for the paper's grids, where every cell of a
+// policy or threshold sweep shares one (workload, seed) group.
 var coreCache struct {
 	sync.Mutex
-	m     map[coreKey]*genCore
+	m     map[coreKey]*coreEntry
 	order []coreKey
 }
 
@@ -164,42 +165,52 @@ type coreKey struct {
 	base uint64
 }
 
+// coreEntry is one cached core. The build is single-flight: callers on
+// one key wait on once for a single buildCore, which runs outside the
+// cache lock so different keys still build in parallel.
+type coreEntry struct {
+	once sync.Once
+	core *genCore
+}
+
 const coreCacheMax = 32
+
+// coreBuilds counts buildCore runs through the shared cache — how many
+// program calibrations a process actually paid for. A sweep's cells
+// differ only in policy, so it should read one per (benchmark, seed,
+// base) the sweep touches.
+var coreBuilds = obs.Default.Counter("dwarn_workload_core_builds_total",
+	"Generator cores built (program synthesis and calibration); runs sharing a (benchmark, seed, address base) reuse one.")
 
 // NewGeneratorShared is NewGenerator through the process-wide core
 // cache: the first call for a (prof, seed, base) triple pays for
-// program construction and calibration, and every later call assembles
-// a fresh generator over the shared immutable core. Streams are
-// bit-identical to NewGenerator's. The checkpoint/fork engine uses this
-// so forked sweep cells skip the dominant warmup cost in-process.
+// program construction and calibration, concurrent callers on the same
+// triple wait for that one build, and every later call assembles a
+// fresh generator over the shared immutable core. Streams are
+// bit-identical to NewGenerator's.
 func NewGeneratorShared(prof *Profile, seed, base uint64) *Generator {
 	k := coreKey{prof: prof, seed: seed, base: base}
 	coreCache.Lock()
 	if coreCache.m == nil {
-		coreCache.m = make(map[coreKey]*genCore)
+		coreCache.m = make(map[coreKey]*coreEntry)
 	}
-	c, ok := coreCache.m[k]
-	coreCache.Unlock()
+	e, ok := coreCache.m[k]
 	if !ok {
-		// Build outside the lock: construction takes milliseconds and
-		// concurrent cells of different groups must not serialize. A
-		// racing duplicate build is harmless (identical, last one wins).
-		c = buildCore(prof, seed, base)
-		coreCache.Lock()
-		if prev, again := coreCache.m[k]; again {
-			c = prev
-		} else {
-			coreCache.m[k] = c
-			coreCache.order = append(coreCache.order, k)
-			if len(coreCache.order) > coreCacheMax {
-				old := coreCache.order[0]
-				coreCache.order = coreCache.order[1:]
-				delete(coreCache.m, old)
-			}
+		e = &coreEntry{}
+		coreCache.m[k] = e
+		coreCache.order = append(coreCache.order, k)
+		if len(coreCache.order) > coreCacheMax {
+			old := coreCache.order[0]
+			coreCache.order = coreCache.order[1:]
+			delete(coreCache.m, old)
 		}
-		coreCache.Unlock()
 	}
-	return newFromCore(c)
+	coreCache.Unlock()
+	e.once.Do(func() {
+		e.core = buildCore(prof, seed, base)
+		coreBuilds.Inc()
+	})
+	return newFromCore(e.core)
 }
 
 // ReplayMeta implements Source: the metadata a trace must record so a

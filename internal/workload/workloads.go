@@ -166,7 +166,8 @@ func (w *Workload) Generators(seed uint64) ([]Source, error) {
 // SharedGenerators is Generators through the process-wide program core
 // cache (see NewGeneratorShared): bit-identical streams, but cells that
 // share a (workload, seed) group skip program construction and
-// calibration after the first. The checkpoint/fork engine's path.
+// calibration after the first. Every synthetic simulation builds its
+// sources this way.
 func (w *Workload) SharedGenerators(seed uint64) ([]Source, error) {
 	return w.generators(seed, NewGeneratorShared)
 }
